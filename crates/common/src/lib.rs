@@ -23,7 +23,7 @@ pub mod time;
 
 pub use bits::{bit, deposit_bits, extract_bits, set_bit, transpose32};
 pub use rng::SplitMix64;
-pub use stats::{Stat, Stats};
+pub use stats::{Counter, Stats};
 pub use time::{Cycle, Picos};
 
 /// Error type shared across the workspace for configuration problems.

@@ -3,7 +3,7 @@
 
 use crate::mapping::macro_ops;
 use crate::stats::StallBreakdown;
-use eve_common::{ConfigError, ConfigResult, Cycle, Stats};
+use eve_common::{ConfigError, ConfigResult, Counter, Cycle, Stats};
 use eve_cpu::{EngineError, VectorPlacement, VectorUnit};
 use eve_isa::{Inst, MemEffect, RegId, Retired, VStride};
 use eve_mem::{Hierarchy, Level, Tlb, LINE_BYTES};
@@ -168,7 +168,7 @@ pub struct EveEngine {
     /// Cycles the VMU spent unable to issue to the LLC (Fig 8).
     llc_issue_stall: Cycle,
     tlb: Tlb,
-    stats: Stats,
+    counters: EngineCounters,
     /// Per-macro-op compiled-tier profiles: the VSU's program cache,
     /// modeled. A macro-op's first issue is a miss (the specializer
     /// compiles while the interpreter runs); every later issue retires
@@ -181,6 +181,29 @@ pub struct EveEngine {
     line_buf: Vec<u64>,
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
+}
+
+/// The engine's own counters, rendered by its `stats()`.
+#[derive(Debug, Clone, Copy, Default)]
+struct EngineCounters {
+    ecc_correct_cycles: Counter,
+    ecc_corrected_events: Counter,
+    remap_cycles: Counter,
+    remapped_rows: Counter,
+    retires: Counter,
+    scrub_cycles: Counter,
+    scrub_sweeps: Counter,
+    vmu_line_requests: Counter,
+    loads: Counter,
+    stores: Counter,
+    vru_ops: Counter,
+    compute_ops: Counter,
+    uop_cycles: Counter,
+    parity_check_cycles: Counter,
+    spawn_commit_cycle: Counter,
+    spawn_cycles: Counter,
+    issued: Counter,
+    queue_stall_cycles: Counter,
 }
 
 impl EveEngine {
@@ -237,7 +260,7 @@ impl EveEngine {
             next_scrub: Cycle::ZERO,
             llc_issue_stall: Cycle::ZERO,
             tlb: Tlb::new(),
-            stats: Stats::new(),
+            counters: EngineCounters::default(),
             uprog_profiles: HashMap::new(),
             tier: TierStats::default(),
             line_buf: Vec::new(),
@@ -279,8 +302,8 @@ impl EveEngine {
         self.trace_vsu("ecc_correct_stall", "ecc_correct", self.vsu_now, cost);
         self.breakdown.ecc_correct_stall += cost;
         self.vsu_now += cost;
-        self.stats.add("ecc_correct_cycles", cost.0);
-        self.stats.add("ecc_corrected_events", events);
+        self.counters.ecc_correct_cycles.add(cost.0);
+        self.counters.ecc_corrected_events.add(events);
     }
 
     /// Charges `rows` spare-row remaps to the VSU timeline
@@ -295,8 +318,8 @@ impl EveEngine {
         self.trace_vsu("remap_stall", "row_remap", self.vsu_now, cost);
         self.breakdown.remap_stall += cost;
         self.vsu_now += cost;
-        self.stats.add("remap_cycles", cost.0);
-        self.stats.add("remapped_rows", rows);
+        self.counters.remap_cycles.add(cost.0);
+        self.counters.remapped_rows.add(rows);
     }
 
     /// Retires the ephemeral engine: returns the donated L2 ways to
@@ -313,7 +336,7 @@ impl EveEngine {
             return now;
         }
         self.spawned = false;
-        self.stats.incr("retires");
+        self.counters.retires.incr();
         mem.despawn_vector_mode(now)
     }
 
@@ -331,8 +354,8 @@ impl EveEngine {
             self.trace_vsu("scrub_stall", "scrub_sweep", self.vsu_now, cost);
             self.breakdown.scrub_stall += cost;
             self.vsu_now += cost;
-            self.stats.add("scrub_cycles", cost.0);
-            self.stats.incr("scrub_sweeps");
+            self.counters.scrub_cycles.add(cost.0);
+            self.counters.scrub_sweeps.incr();
             self.next_scrub += interval;
         }
     }
@@ -458,7 +481,7 @@ impl EveEngine {
         let issued = self.tlb.translate(line * LINE_BYTES, t);
         let a = mem.access(Level::Llc, line * LINE_BYTES, store, issued);
         self.llc_issue_stall += a.mshr_wait;
-        self.stats.incr("vmu.line_requests");
+        self.counters.vmu_line_requests.incr();
         #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             let cat = if store { "store" } else { "load" };
@@ -475,7 +498,7 @@ impl EveEngine {
     }
 
     fn handle_load(&mut self, r: &Retired, accept: Cycle, mem: &mut Hierarchy) -> Cycle {
-        self.stats.incr("loads");
+        self.counters.loads.incr();
         self.advance_vsu(accept, "empty_stall", |b| &mut b.empty_stall);
         let deps = self.vreg_dep_time(r);
         self.advance_vsu(deps, "dep_stall", |b| &mut b.dep_stall);
@@ -550,7 +573,7 @@ impl EveEngine {
     }
 
     fn handle_store(&mut self, r: &Retired, accept: Cycle, mem: &mut Hierarchy) -> Cycle {
-        self.stats.incr("stores");
+        self.counters.stores.incr();
         self.advance_vsu(accept, "empty_stall", |b| &mut b.empty_stall);
         let deps = self.vreg_dep_time(r);
         self.advance_vsu(deps, "dep_stall", |b| &mut b.dep_stall);
@@ -618,7 +641,7 @@ impl EveEngine {
     }
 
     fn handle_vru(&mut self, r: &Retired, accept: Cycle) -> Cycle {
-        self.stats.incr("vru_ops");
+        self.counters.vru_ops.incr();
         self.advance_vsu(accept, "empty_stall", |b| &mut b.empty_stall);
         let deps = self.vreg_dep_time(r);
         self.advance_vsu(deps, "dep_stall", |b| &mut b.dep_stall);
@@ -649,7 +672,7 @@ impl EveEngine {
     }
 
     fn handle_compute(&mut self, r: &Retired, accept: Cycle, ops: &[MacroOpKind]) -> Cycle {
-        self.stats.incr("compute_ops");
+        self.counters.compute_ops.incr();
         let masked = matches!(r.inst, Inst::VOp { masked: true, .. });
         let mut total = Cycle(if masked { MASK_PROLOGUE } else { 0 });
         for &op in ops {
@@ -681,7 +704,7 @@ impl EveEngine {
                 }
             }
         }
-        self.stats.add("uop_cycles", total.0);
+        self.counters.uop_cycles.add(total.0);
         let deps = self.vreg_dep_time(r);
         // §IX exploration: with extra pipes, dispatch onto whichever
         // frees first instead of serializing on the single VSU.
@@ -717,7 +740,7 @@ impl EveEngine {
                 self.trace_vsu("parity_stall", "parity_check", self.vsu_now, check);
                 self.breakdown.parity_stall += check;
                 self.vsu_now += check;
-                self.stats.add("parity_check_cycles", check.0);
+                self.counters.parity_check_cycles.add(check.0);
             }
         }
         self.busy("uprog", total);
@@ -742,10 +765,11 @@ impl VectorUnit for EveEngine {
         // invalidate the donated ways (§V-E).
         if !self.spawned {
             let done = mem.spawn_vector_mode(commit);
-            self.stats.set("spawn_commit_cycle", commit.0);
+            self.counters.spawn_commit_cycle.set(commit.0);
             // `add`, not `set`: respawns after a retire accumulate.
-            self.stats
-                .add("spawn_cycles", done.saturating_since(commit).0);
+            self.counters
+                .spawn_cycles
+                .add(done.saturating_since(commit).0);
             // The spawn span opens the attributed VSU timeline; the
             // auditor counts it alongside the breakdown buckets.
             self.trace_vsu("spawn", "spawn", commit, done.saturating_since(commit));
@@ -758,15 +782,16 @@ impl VectorUnit for EveEngine {
                 self.next_scrub = done + Cycle(res.scrub_interval_cycles);
             }
         }
-        self.stats.incr("issued");
+        self.counters.issued.incr();
 
         // VCU queue back-pressure.
         let mut accept = commit;
         while self.queue_done.len() >= self.tuning.queue_depth {
             let oldest = self.queue_done.pop_front().expect("nonempty");
             if oldest > accept {
-                self.stats
-                    .add("queue_stall_cycles", oldest.saturating_since(accept).0);
+                self.counters
+                    .queue_stall_cycles
+                    .add(oldest.saturating_since(accept).0);
                 accept = oldest;
             }
         }
@@ -826,7 +851,28 @@ impl VectorUnit for EveEngine {
     }
 
     fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
+        let c = &self.counters;
+        let mut s = Stats::new();
+        s.publish_all([
+            ("ecc_correct_cycles", c.ecc_correct_cycles),
+            ("ecc_corrected_events", c.ecc_corrected_events),
+            ("remap_cycles", c.remap_cycles),
+            ("remapped_rows", c.remapped_rows),
+            ("retires", c.retires),
+            ("scrub_cycles", c.scrub_cycles),
+            ("scrub_sweeps", c.scrub_sweeps),
+            ("vmu.line_requests", c.vmu_line_requests),
+            ("loads", c.loads),
+            ("stores", c.stores),
+            ("vru_ops", c.vru_ops),
+            ("compute_ops", c.compute_ops),
+            ("uop_cycles", c.uop_cycles),
+            ("parity_check_cycles", c.parity_check_cycles),
+            ("spawn_commit_cycle", c.spawn_commit_cycle),
+            ("spawn_cycles", c.spawn_cycles),
+            ("issued", c.issued),
+            ("queue_stall_cycles", c.queue_stall_cycles),
+        ]);
         s.set("hw_vl", u64::from(self.hw_vl));
         s.set("vmu.llc_issue_stall_cycles", self.llc_issue_stall.0);
         // The attributed VSU timeline's endpoint: spawn + busy + every

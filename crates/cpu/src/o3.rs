@@ -17,7 +17,7 @@
 use crate::branch::BranchPredictor;
 use crate::vector_if::{EngineError, NoVector, VectorPlacement, VectorUnit};
 use crate::CODE_BASE;
-use eve_common::{Cycle, Stats};
+use eve_common::{Counter, Cycle, Stats};
 use eve_isa::{Inst, MemEffect, RegId, Retired, ScalarOp};
 use eve_mem::{Hierarchy, HierarchyConfig, Level};
 use eve_obs::Tracer;
@@ -64,9 +64,21 @@ pub struct O3Core<V: VectorUnit = NoVector> {
     fetch_floor: Cycle,
     bp: BranchPredictor,
     end: Cycle,
-    stats: Stats,
+    counters: O3Counters,
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
+}
+
+/// The O3 core's own counters, rendered by [`O3Core::stats`].
+#[derive(Debug, Clone, Copy, Default)]
+struct O3Counters {
+    insts: Counter,
+    vector_insts: Counter,
+    vector_writeback_stalls: Counter,
+    loads: Counter,
+    stores: Counter,
+    mispredicts: Counter,
+    rob_stall_cycles: Counter,
 }
 
 impl O3Core<NoVector> {
@@ -100,7 +112,7 @@ impl<V: VectorUnit> O3Core<V> {
             fetch_floor: Cycle::ZERO,
             bp: BranchPredictor::new(4096),
             end: Cycle::ZERO,
-            stats: Stats::new(),
+            counters: O3Counters::default(),
             tracer: None,
         }
     }
@@ -154,8 +166,9 @@ impl<V: VectorUnit> O3Core<V> {
         if self.commit_ring.len() >= self.cfg.window {
             let oldest = self.commit_ring.pop_front().expect("nonempty");
             if oldest > d {
-                self.stats
-                    .add("rob_stall_cycles", oldest.saturating_since(d).0);
+                self.counters
+                    .rob_stall_cycles
+                    .add(oldest.saturating_since(d).0);
                 d = oldest;
                 self.dispatch_cycle = d;
                 self.dispatch_count = 0;
@@ -185,7 +198,7 @@ impl<V: VectorUnit> O3Core<V> {
     /// Propagates [`EngineError`] from the vector unit when a vector
     /// instruction cannot be handled (no unit, no μprogram mapping).
     pub fn retire(&mut self, r: &Retired) -> Result<(), EngineError> {
-        self.stats.incr("insts");
+        self.counters.insts.incr();
         let d = self.dispatch_slot();
         let ready = self.deps_ready(r, d);
 
@@ -197,7 +210,7 @@ impl<V: VectorUnit> O3Core<V> {
         let mut _redirect_at: Option<Cycle> = None;
 
         if r.inst.is_vector() && !matches!(r.inst, Inst::SetVl { .. }) {
-            self.stats.incr("vector_insts");
+            self.counters.vector_insts.incr();
             // Vector instructions reach decoupled units at commit time
             // (§V-A); integrated units issue when dependences resolve.
             let commit_est = ready.max(self.last_commit);
@@ -210,7 +223,7 @@ impl<V: VectorUnit> O3Core<V> {
                     commit_floor = accept;
                     if let Some(wb) = writeback {
                         commit_floor = commit_floor.max(wb);
-                        self.stats.incr("vector_writeback_stalls");
+                        self.counters.vector_writeback_stalls.incr();
                     }
                 }
             }
@@ -222,11 +235,11 @@ impl<V: VectorUnit> O3Core<V> {
                         addr, store: false, ..
                     },
                 ) => {
-                    self.stats.incr("loads");
+                    self.counters.loads.incr();
                     self.mem.access(Level::L1D, *addr, false, ready).complete
                 }
                 (_, MemEffect::Scalar { store: true, .. }) => {
-                    self.stats.incr("stores");
+                    self.counters.stores.incr();
                     // Stores execute at commit; charged below.
                     ready + Cycle(1)
                 }
@@ -244,7 +257,7 @@ impl<V: VectorUnit> O3Core<V> {
                         };
                         self.bp.update(r.pc, taken);
                         if predicted != taken {
-                            self.stats.incr("mispredicts");
+                            self.counters.mispredicts.incr();
                             self.fetch_floor = resolve + Cycle(self.cfg.mispredict_penalty);
                             _redirect_at = Some(resolve);
                         }
@@ -316,7 +329,17 @@ impl<V: VectorUnit> O3Core<V> {
     /// Core + hierarchy + vector-unit statistics.
     #[must_use]
     pub fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
+        let c = &self.counters;
+        let mut s = Stats::new();
+        s.publish_all([
+            ("insts", c.insts),
+            ("vector_insts", c.vector_insts),
+            ("vector_writeback_stalls", c.vector_writeback_stalls),
+            ("loads", c.loads),
+            ("stores", c.stores),
+            ("mispredicts", c.mispredicts),
+            ("rob_stall_cycles", c.rob_stall_cycles),
+        ]);
         s.merge(&self.mem.collect_stats());
         s.merge(&self.vu.stats());
         s

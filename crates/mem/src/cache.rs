@@ -2,8 +2,9 @@
 
 use crate::config::CacheConfig;
 use crate::line_of;
-use eve_common::{Cycle, Stats};
+use eve_common::{Counter, Cycle, Stats};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 #[derive(Debug, Clone, Copy)]
 struct TagEntry {
@@ -40,10 +41,49 @@ pub struct Cache {
     tags: Vec<Vec<Option<TagEntry>>>,
     banks: Vec<Cycle>,
     mshrs: Vec<Cycle>,
-    /// Lines currently being filled: line -> fill completion time.
-    inflight: HashMap<u64, Cycle>,
+    /// Fill completion time of every distinct line ever filled. An
+    /// entry stays until a later miss to its line finds the fill long
+    /// done (a stale miss) and removes it, or until `invalidate_all`
+    /// clears the map; hits consult it so a line still in flight
+    /// cannot deliver early.
+    inflight: HashMap<u64, Cycle, BuildHasherDefault<LineHasher>>,
     use_clock: u64,
-    stats: Stats,
+    counters: CacheCounters,
+}
+
+/// One cache level's counters, rendered by [`Cache::stats`].
+#[derive(Debug, Clone, Copy, Default)]
+struct CacheCounters {
+    hits: Counter,
+    misses: Counter,
+    mshr_coalesced: Counter,
+    mshr_wait_cycles: Counter,
+    writebacks: Counter,
+}
+
+/// Hashes a line number with a single multiply (the FxHash step).
+/// Line keys are plain integers chosen by the simulated program, not
+/// an adversary, and the `inflight` map's iteration order is never
+/// observed, so SipHash's DoS resistance buys nothing on the hit path.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Cache {
@@ -60,11 +100,11 @@ impl Cache {
             tags: vec![vec![None; cfg.ways as usize]; sets as usize],
             banks: vec![Cycle::ZERO; cfg.banks as usize],
             mshrs: vec![Cycle::ZERO; cfg.mshrs as usize],
-            inflight: HashMap::new(),
+            inflight: HashMap::default(),
             use_clock: 0,
             sets,
             cfg,
-            stats: Stats::new(),
+            counters: CacheCounters::default(),
         }
     }
 
@@ -74,11 +114,21 @@ impl Cache {
         &self.cfg
     }
 
-    /// Accumulated statistics (`hits`, `misses`, `mshr_wait_cycles`,
-    /// `writebacks`, ...).
+    /// The accumulated counters (`hits`, `misses`, `mshr_coalesced`,
+    /// `mshr_wait_cycles`, `writebacks`), rendered into a new owned
+    /// table; a counter never written has no key.
     #[must_use]
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    pub fn stats(&self) -> Stats {
+        let c = &self.counters;
+        let mut s = Stats::new();
+        s.publish_all([
+            ("hits", c.hits),
+            ("misses", c.misses),
+            ("mshr_coalesced", c.mshr_coalesced),
+            ("mshr_wait_cycles", c.mshr_wait_cycles),
+            ("writebacks", c.writebacks),
+        ]);
+        s
     }
 
     fn set_of(&self, line: u64) -> usize {
@@ -115,7 +165,7 @@ impl Cache {
         if let Some(entry) = self.tags[set].iter_mut().flatten().find(|e| e.line == line) {
             entry.last_used = clock;
             entry.dirty |= store;
-            self.stats.incr("hits");
+            self.counters.hits.incr();
             // A line whose fill is still in flight cannot deliver until
             // the fill lands.
             let pending = self.inflight.get(&line).copied().unwrap_or(Cycle::ZERO);
@@ -126,7 +176,7 @@ impl Cache {
                 mshr_slot: None,
             };
         }
-        self.stats.incr("misses");
+        self.counters.misses.incr();
         let lookup_done = start + Cycle(self.cfg.hit_latency);
         if let Some(&fill_done) = self.inflight.get(&line) {
             if fill_done > lookup_done {
@@ -134,7 +184,7 @@ impl Cache {
                 // Reported as a hit — this level supplies the data
                 // when the outstanding fill lands, and the request
                 // must not propagate downstream again.
-                self.stats.incr("mshr_coalesced");
+                self.counters.mshr_coalesced.incr();
                 return LevelOutcome {
                     hit: true,
                     ready: fill_done,
@@ -156,7 +206,7 @@ impl Cache {
             .expect("mshrs nonzero");
         let issue = lookup_done.max(free_at);
         let wait = issue.saturating_since(lookup_done);
-        self.stats.add("mshr_wait_cycles", wait.0);
+        self.counters.mshr_wait_cycles.add(wait.0);
         self.mshrs[slot] = Cycle(u64::MAX); // held until fill
         LevelOutcome {
             hit: false,
@@ -223,15 +273,9 @@ impl Cache {
             last_used: clock,
         });
         if evicted.is_some() {
-            self.stats.incr("writebacks");
+            self.counters.writebacks.incr();
         }
         evicted
-    }
-
-    /// Drops completed in-flight records older than `now` (periodic
-    /// housekeeping so the map stays small).
-    pub fn retire_inflight(&mut self, now: Cycle) {
-        self.inflight.retain(|_, &mut done| done > now);
     }
 
     /// Invalidates every line, returning `(clean, dirty)` line counts —
@@ -345,8 +389,7 @@ mod tests {
         assert!(co.hit);
         assert_eq!(co.ready, Cycle(80));
         assert_eq!(co.mshr_wait, Cycle::ZERO);
-        // After housekeeping past the fill, hits are fast again.
-        c.retire_inflight(Cycle(100));
+        // Once the fill has landed, hits are fast again.
         let h = c.lookup(0x40, false, Cycle(200));
         assert_eq!(h.ready, Cycle(202));
     }

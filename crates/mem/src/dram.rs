@@ -1,7 +1,7 @@
 //! Single-channel DRAM latency/bandwidth model.
 
 use crate::config::DramConfig;
-use eve_common::{Cycle, Stats};
+use eve_common::{Counter, Cycle, Stats};
 
 /// A DDR4-like memory channel: fixed access latency plus a channel
 /// occupancy per line that bounds sustained bandwidth.
@@ -20,7 +20,9 @@ use eve_common::{Cycle, Stats};
 pub struct Dram {
     cfg: DramConfig,
     channel_free: Cycle,
-    stats: Stats,
+    accesses: Counter,
+    queue_cycles: Counter,
+    writebacks: Counter,
 }
 
 impl Dram {
@@ -30,7 +32,9 @@ impl Dram {
         Self {
             cfg,
             channel_free: Cycle::ZERO,
-            stats: Stats::new(),
+            accesses: Counter::default(),
+            queue_cycles: Counter::default(),
+            writebacks: Counter::default(),
         }
     }
 
@@ -39,9 +43,8 @@ impl Dram {
     pub fn access(&mut self, now: Cycle) -> Cycle {
         let start = now.max(self.channel_free);
         self.channel_free = start + Cycle(self.cfg.cycles_per_line);
-        self.stats.incr("accesses");
-        self.stats
-            .add("queue_cycles", start.saturating_since(now).0);
+        self.accesses.incr();
+        self.queue_cycles.add(start.saturating_since(now).0);
         start + Cycle(self.cfg.latency)
     }
 
@@ -50,13 +53,21 @@ impl Dram {
     pub fn writeback(&mut self, now: Cycle) {
         let start = now.max(self.channel_free);
         self.channel_free = start + Cycle(self.cfg.cycles_per_line);
-        self.stats.incr("writebacks");
+        self.writebacks.incr();
     }
 
-    /// Accumulated statistics.
+    /// The accumulated counters (`accesses`, `queue_cycles`,
+    /// `writebacks`), rendered into a new owned table; a counter never
+    /// written has no key.
     #[must_use]
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    pub fn stats(&self) -> Stats {
+        let mut s = Stats::new();
+        s.publish_all([
+            ("accesses", self.accesses),
+            ("queue_cycles", self.queue_cycles),
+            ("writebacks", self.writebacks),
+        ]);
+        s
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::cache::Cache;
 use crate::config::{CacheConfig, HierarchyConfig};
 use crate::shared::SharedLlc;
-use eve_common::{Cycle, Stats};
+use eve_common::{Counter, Cycle, Stats};
 use eve_obs::Tracer;
 
 /// Where a request enters (or is satisfied in) the hierarchy.
@@ -57,7 +57,8 @@ pub struct Hierarchy {
     l1d: Cache,
     l2: Cache,
     shared: SharedLlc,
-    stats: Stats,
+    accesses: Counter,
+    l2_reconfig_lines: Counter,
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     tracer: Option<Tracer>,
 }
@@ -80,7 +81,8 @@ impl Hierarchy {
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
             shared,
-            stats: Stats::new(),
+            accesses: Counter::default(),
+            l2_reconfig_lines: Counter::default(),
             tracer: None,
         }
     }
@@ -100,7 +102,7 @@ impl Hierarchy {
     /// Performs one access entering at `entry` for byte address `addr`
     /// at time `now`.
     pub fn access(&mut self, entry: Level, addr: u64, store: bool, now: Cycle) -> Access {
-        self.stats.incr("accesses");
+        self.accesses.incr();
         let mut wait = Cycle::ZERO;
         let levels: &[Level] = match entry {
             Level::L1I => &[Level::L1I, Level::L2],
@@ -109,7 +111,10 @@ impl Hierarchy {
             Level::Llc | Level::Dram => &[],
         };
         let mut t = now;
-        let mut missed: Vec<(Level, Option<usize>)> = Vec::new();
+        // At most two private levels miss (L1 then L2), so the misses
+        // and their MSHR slots fit in a fixed array.
+        let mut missed = [(Level::Dram, None); 2];
+        let mut n_missed = 0;
         let mut hit_level = Level::Dram;
         let mut found = false;
         for &lv in levels {
@@ -121,7 +126,8 @@ impl Hierarchy {
                 found = true;
                 break;
             }
-            missed.push((lv, out.mshr_slot));
+            missed[n_missed] = (lv, out.mshr_slot);
+            n_missed += 1;
         }
         if !found {
             let a = self.shared.access(addr, store, t);
@@ -132,7 +138,7 @@ impl Hierarchy {
         // Fill the missed private levels top-down, releasing each
         // level's MSHR at the fill time; dirty evictions charge
         // downstream bandwidth.
-        for &(lv, slot) in missed.iter().rev() {
+        for &(lv, slot) in missed[..n_missed].iter().rev() {
             let evicted = self.cache_mut(lv).fill_slot(addr, store, t, slot);
             if let Some(line) = evicted {
                 self.writeback_below(lv, line * crate::LINE_BYTES, t);
@@ -222,7 +228,7 @@ impl Hierarchy {
         let (clean, dirty) = self.l2.invalidate_all();
         self.shared.spawn_flush(dirty, now);
         self.l2 = Cache::new(CacheConfig::l2_vector_mode());
-        self.stats.add("l2_reconfig_lines", clean + dirty);
+        self.l2_reconfig_lines.add(clean + dirty);
         #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             tr.instant_arg(
@@ -258,7 +264,7 @@ impl Hierarchy {
         let (clean, dirty) = self.l2.invalidate_all();
         self.shared.spawn_flush(dirty, now);
         self.l2 = Cache::new(CacheConfig::l2_with_ways(ways));
-        self.stats.add("l2_reconfig_lines", clean + dirty);
+        self.l2_reconfig_lines.add(clean + dirty);
         #[cfg(feature = "obs")]
         if let Some(tr) = &self.tracer {
             tr.instant_arg(
@@ -284,9 +290,8 @@ impl Hierarchy {
         // In a CMP the shared counters appear in every core's roll-up;
         // aggregate reporting must de-duplicate by reading one core.
         s.merge(&self.shared.collect_stats());
-        for (k, v) in self.stats.iter() {
-            s.add(k, v);
-        }
+        s.publish("accesses", self.accesses);
+        s.publish("l2_reconfig_lines", self.l2_reconfig_lines);
         s
     }
 }

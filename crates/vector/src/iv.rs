@@ -9,7 +9,7 @@
 //! scalar loads/stores by the load-store queue").
 
 use crate::pipes::{classify_pipe, element_cost, PipeClass};
-use eve_common::{Cycle, Stats};
+use eve_common::{Counter, Cycle, Stats};
 use eve_cpu::{EngineError, VectorPlacement, VectorUnit};
 use eve_isa::{Inst, MemEffect, Retired};
 use eve_mem::{Hierarchy, Level};
@@ -23,7 +23,8 @@ pub struct IntegratedVector {
     arith_pipes: [Cycle; 2],
     mem_pipe: Cycle,
     pending_store_done: Cycle,
-    stats: Stats,
+    issued: Counter,
+    lsq_uops: Counter,
 }
 
 impl IntegratedVector {
@@ -76,7 +77,7 @@ impl VectorUnit for IntegratedVector {
         mem: &mut Hierarchy,
     ) -> Result<VectorPlacement, EngineError> {
         let class = classify_pipe(&r.inst).unwrap_or(PipeClass::Simple);
-        self.stats.incr("issued");
+        self.issued.incr();
         let completion = match class {
             PipeClass::Memory if matches!(r.inst, Inst::VMFence) => {
                 // Shares the LSQ: fence waits for pending stores.
@@ -86,7 +87,7 @@ impl VectorUnit for IntegratedVector {
                 // Decompose into per-element scalar LSQ operations.
                 let store = r.mem.is_store();
                 let addrs = Self::element_addrs(&r.mem);
-                self.stats.add("lsq_uops", addrs.len() as u64);
+                self.lsq_uops.add(addrs.len() as u64);
                 let mut done = ready;
                 let mut t = ready;
                 for addr in addrs {
@@ -121,7 +122,8 @@ impl VectorUnit for IntegratedVector {
     }
 
     fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
+        let mut s = Stats::new();
+        s.publish_all([("issued", self.issued), ("lsq_uops", self.lsq_uops)]);
         s.set("hw_vl", u64::from(IV_HW_VL));
         s
     }
