@@ -58,7 +58,9 @@
 //! loss rate and 5% reordering ride along, per
 //! [`NetPolicy::lossy`]). With no value the axis defaults to
 //! `0,2,5`. The summary rolls up retransmit / hedge / dedup /
-//! suspicion tallies, and the exit-code policy also fails the run on
+//! suspicion tallies — plus `net_partition_suspicions`, the
+//! suspicions whose onset falls inside a partition window of the
+//! suspected shard — and the exit-code policy also fails the run on
 //! any double-applied request. Off by default, so transport-free
 //! campaign bytes replay unchanged.
 
@@ -68,7 +70,7 @@ use eve_common::SplitMix64;
 use eve_obs::Tracer;
 use eve_serve::{
     audit_cluster, tenant_mix, ClusterConfig, ClusterSim, ClusterTraffic, ElasticPolicy,
-    FaultStorm, NetPolicy, Router, ServiceProfile, TrafficShape,
+    FaultStorm, NetPolicy, Router, ServiceProfile, StormEventKind, TrafficShape,
 };
 use eve_workloads::Workload;
 use std::sync::Arc;
@@ -274,6 +276,7 @@ struct CellOutcome {
     hedge_wins: u64,
     dedup_absorbed: u64,
     suspicions: u64,
+    partition_suspicions: u64,
     double_applied: u64,
 }
 
@@ -314,6 +317,16 @@ fn run_cell(plan: &Plan, profile: &ServiceProfile, cell: Cell) -> Result<CellOut
         ..ClusterTraffic::default()
     };
     let storm = build_storm(cell, &cfg, traffic.keys, horizon);
+    let partitions: Vec<(usize, u64, u64)> = storm
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            StormEventKind::ShardPartition { duration } => {
+                Some((e.engine, e.at, e.at + duration.max(1)))
+            }
+            _ => None,
+        })
+        .collect();
     let tracer = Tracer::new();
     let report = ClusterSim::new(cfg, profile.clone(), traffic, storm)
         .map_err(|e| e.to_string())?
@@ -364,6 +377,16 @@ fn run_cell(plan: &Plan, profile: &ServiceProfile, cell: Cell) -> Result<CellOut
         hedge_wins: report.net.hedge_wins,
         dedup_absorbed: report.net.dedup_hits + report.net.dup_suppressed,
         suspicions: report.net.suspicions,
+        partition_suspicions: report
+            .detector_events
+            .iter()
+            .filter(|e| {
+                e.suspected
+                    && partitions
+                        .iter()
+                        .any(|&(s, from, until)| s == e.shard && (from..until).contains(&e.at))
+            })
+            .count() as u64,
         double_applied: report.net.double_applied,
     })
 }
@@ -460,6 +483,7 @@ fn main() {
     let mut hedge_wins = 0u64;
     let mut dedup_absorbed = 0u64;
     let mut suspicions = 0u64;
+    let mut partition_suspicions = 0u64;
     let mut double_applied = 0u64;
     for (result, &cell) in results.into_iter().zip(grid.iter()) {
         match result {
@@ -479,6 +503,7 @@ fn main() {
                 hedge_wins += outcome.hedge_wins;
                 dedup_absorbed += outcome.dedup_absorbed;
                 suspicions += outcome.suspicions;
+                partition_suspicions += outcome.partition_suspicions;
                 double_applied += outcome.double_applied;
                 rows.push(outcome.row);
             }
@@ -499,8 +524,8 @@ fn main() {
         "cluster_campaign: {} cells, {} error rows, min availability {:.4}, \
          min tenant availability {:.4}, {} SDCs, {} steals, {} down / {} up, \
          elastic {} spawned / {} retired / {} rolled back, \
-         net {} retransmits / {} hedges ({} won) / {} deduped / {} suspicions / \
-         {} double-applied",
+         net {} retransmits / {} hedges ({} won) / {} deduped / {} suspicions \
+         ({} in partitions) / {} double-applied",
         grid.len(),
         errors.len(),
         if min_availability.is_finite() {
@@ -525,6 +550,7 @@ fn main() {
         hedge_wins,
         dedup_absorbed,
         suspicions,
+        partition_suspicions,
         double_applied
     );
     for (cell, msg) in &errors {
@@ -533,6 +559,49 @@ fn main() {
             cell.shards, cell.tenants, cell.shape, msg
         );
     }
+    let mut summary = vec![
+        ("cells", JsonValue::from(grid.len() as u64)),
+        ("failed", JsonValue::from(errors.len() as u64)),
+        (
+            "min_availability",
+            JsonValue::from(if min_availability.is_finite() {
+                min_availability
+            } else {
+                0.0
+            }),
+        ),
+        (
+            "min_tenant_availability",
+            JsonValue::from(if min_tenant_availability.is_finite() {
+                min_tenant_availability
+            } else {
+                0.0
+            }),
+        ),
+        ("total_sdc", JsonValue::from(total_sdc)),
+        ("steals", JsonValue::from(steals)),
+        ("ladder_step_downs", JsonValue::from(step_downs)),
+        ("ladder_step_ups", JsonValue::from(step_ups)),
+        ("elastic", JsonValue::from(plan.elastic)),
+        ("elastic_spawns", JsonValue::from(elastic_spawns)),
+        ("elastic_retires", JsonValue::from(elastic_retires)),
+        ("elastic_rollbacks", JsonValue::from(elastic_rollbacks)),
+        ("net", JsonValue::from(plan.net.is_some())),
+        ("net_retransmits", JsonValue::from(retransmits)),
+        ("net_hedges", JsonValue::from(hedges)),
+        ("net_hedge_wins", JsonValue::from(hedge_wins)),
+        ("net_dedup_absorbed", JsonValue::from(dedup_absorbed)),
+        ("net_suspicions", JsonValue::from(suspicions)),
+    ];
+    if plan.net.is_some() {
+        // Only with the transport on, so transport-free campaign bytes
+        // stay as they were.
+        summary.push((
+            "net_partition_suspicions",
+            JsonValue::from(partition_suspicions),
+        ));
+    }
+    summary.push(("net_double_applied", JsonValue::from(double_applied)));
     let doc = JsonValue::object([
         ("seed", JsonValue::from(plan.seed)),
         ("factor", JsonValue::from(u64::from(plan.factor))),
@@ -563,44 +632,7 @@ fn main() {
                 ),
             ]),
         ),
-        (
-            "summary",
-            JsonValue::object([
-                ("cells", JsonValue::from(grid.len() as u64)),
-                ("failed", JsonValue::from(errors.len() as u64)),
-                (
-                    "min_availability",
-                    JsonValue::from(if min_availability.is_finite() {
-                        min_availability
-                    } else {
-                        0.0
-                    }),
-                ),
-                (
-                    "min_tenant_availability",
-                    JsonValue::from(if min_tenant_availability.is_finite() {
-                        min_tenant_availability
-                    } else {
-                        0.0
-                    }),
-                ),
-                ("total_sdc", JsonValue::from(total_sdc)),
-                ("steals", JsonValue::from(steals)),
-                ("ladder_step_downs", JsonValue::from(step_downs)),
-                ("ladder_step_ups", JsonValue::from(step_ups)),
-                ("elastic", JsonValue::from(plan.elastic)),
-                ("elastic_spawns", JsonValue::from(elastic_spawns)),
-                ("elastic_retires", JsonValue::from(elastic_retires)),
-                ("elastic_rollbacks", JsonValue::from(elastic_rollbacks)),
-                ("net", JsonValue::from(plan.net.is_some())),
-                ("net_retransmits", JsonValue::from(retransmits)),
-                ("net_hedges", JsonValue::from(hedges)),
-                ("net_hedge_wins", JsonValue::from(hedge_wins)),
-                ("net_dedup_absorbed", JsonValue::from(dedup_absorbed)),
-                ("net_suspicions", JsonValue::from(suspicions)),
-                ("net_double_applied", JsonValue::from(double_applied)),
-            ]),
-        ),
+        ("summary", JsonValue::object(summary)),
         ("runs", JsonValue::Array(rows)),
     ]);
     println!("{}", doc.to_pretty());

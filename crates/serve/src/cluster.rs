@@ -37,7 +37,10 @@ use crate::elastic::{
     ElasticAction, ElasticController, ElasticEvent, ElasticEventKind, ElasticPolicy, ShardSignal,
 };
 use crate::health::spawn_target_ok;
-use crate::net::{DedupTable, Detector, Link, MsgClass, NetCounters, NetPolicy, RttWindow};
+use crate::net::{
+    DedupTable, Deliveries, Detector, DetectorEvent, Link, MsgClass, NetCounters, NetPolicy,
+    RttWindow,
+};
 use crate::profile::ServiceProfile;
 use crate::queue::{admit, estimated_wait, AdmissionPolicy, AdmissionView, ShedReason};
 use crate::report::EngineReport;
@@ -202,17 +205,14 @@ enum Ev {
     DeliverResp(usize, usize, bool, bool),
     /// A first-response-wins cancellation for `req` reaches `shard`.
     DeliverCancel(usize, usize),
-    /// A heartbeat ping reaches shard `shard` (it acks immediately).
-    DeliverHb(usize),
-    /// A heartbeat ack from shard `shard` reaches the router.
-    DeliverAck(usize),
     /// Request `req`'s retransmit timer fires; live only while the
     /// transmission sequence still matches.
     NetTimeout(usize, u32),
     /// Request `req`'s hedge timer fires.
     HedgeFire(usize, u32),
-    /// The router's next heartbeat tick toward shard `shard`.
-    HbTick(usize),
+    /// Shard `shard`'s failure detector is due: a suspicion onset, a
+    /// recovery, or a point where its heartbeat scan resumes.
+    Detect(usize),
 }
 
 struct Entry {
@@ -367,22 +367,23 @@ struct NetReqState {
 struct NetState {
     /// The policy with `rto` resolved (0 ⇒ derived from the profile).
     policy: NetPolicy,
-    /// One seeded lossy link per shard.
+    /// One seeded lossy link per shard, its loss windows taken from
+    /// the storm up front.
     links: Vec<Link>,
     /// Per-shard idempotency tables: request id → cached corruption
     /// bit.
     dedup: Vec<DedupTable>,
-    /// Windowed heartbeat failure detector over all links.
+    /// Windowed heartbeat failure detector over all links, with the
+    /// heartbeats in closed form.
     detector: Detector,
     /// Sliding RTT window feeding the hedge delay (windowed p99).
     rtt: RttWindow,
     reqs: Vec<NetReqState>,
     /// Admitted requests not yet resolved.
     open: u64,
-    /// The last scheduled arrival: heartbeats re-arm only while
-    /// traffic is still coming or requests are still open, so the
-    /// calendar drains when the run is done.
-    last_arrival: u64,
+    /// Arrivals not yet handled. Heartbeats (and the detector) stop
+    /// once this and `open` are both zero: the run needs them no more.
+    arrivals_left: usize,
     counters: NetCounters,
 }
 
@@ -656,26 +657,37 @@ impl ClusterSim {
                 policy.rto = profile.rto_hint(policy.base_delay, policy.jitter);
             }
             policy.rto = policy.rto.max(1);
-            let last_arrival = requests.iter().map(|r| r.arrival).max().unwrap_or(0);
-            // Staggered heartbeat phases so N links never ping in the
-            // same cycle.
-            let every = policy.heartbeat_every.max(1);
+            // Link storms become loss windows now, so a message's fate
+            // depends on its send cycle alone: a partition is 100% loss
+            // on the link, a degrade its own loss, each for its span.
+            let mut links: Vec<Link> = (0..cfg.shards).map(|s| Link::new(cfg.seed, s)).collect();
+            for e in &storm.events {
+                let (loss, duration) = match e.kind {
+                    StormEventKind::ShardPartition { duration } => (1.0, duration),
+                    StormEventKind::LinkDegrade { loss_pct, duration } => {
+                        (f64::from(loss_pct.min(100)) / 100.0, duration)
+                    }
+                    _ => continue,
+                };
+                links[e.engine].degrade(e.at, e.at + duration.max(1), loss);
+            }
+            let detector = Detector::new(&mut links, &policy);
             for s in 0..cfg.shards {
                 heap.push(Entry {
-                    at: (s as u64 * every) / cfg.shards as u64,
+                    at: detector.next_at(s).expect("a new detector runs"),
                     seq,
-                    ev: Ev::HbTick(s),
+                    ev: Ev::Detect(s),
                 });
                 seq += 1;
             }
             Some(NetState {
-                links: (0..cfg.shards).map(|s| Link::new(cfg.seed, s)).collect(),
+                links,
                 dedup: vec![DedupTable::new(); cfg.shards],
-                detector: Detector::new(cfg.shards, every, policy.suspect_misses),
+                detector,
                 rtt: RttWindow::new(64),
                 reqs: vec![NetReqState::default(); requests.len()],
                 open: 0,
-                last_arrival,
+                arrivals_left: requests.len(),
                 counters: NetCounters::default(),
                 policy,
             })
@@ -759,17 +771,10 @@ impl ClusterSim {
     /// channels).
     fn shard_available(&mut self, s: usize) -> bool {
         let now = self.now;
-        let (blocked, newly_suspect) = if let Some(net) = &mut self.net {
-            // Lazy detection: suspicion is evaluated when routing asks,
-            // from the last heartbeat ack's age.
-            let newly = net.detector.probe(now, s).is_some();
-            (net.detector.suspected(s), newly)
-        } else {
-            (now < self.shards[s].partition_until, false)
+        let blocked = match &self.net {
+            Some(net) => net.detector.suspected(s, now),
+            None => now < self.shards[s].partition_until,
         };
-        if newly_suspect && s < SHARD_CATS.len() {
-            self.instant(SHARD_CATS[s], "suspect", now);
-        }
         if blocked {
             return false;
         }
@@ -867,6 +872,14 @@ impl ClusterSim {
     pub fn run(mut self) -> ClusterReport {
         loop {
             while let Some(Entry { at, ev, .. }) = self.heap.pop() {
+                if matches!(ev, Ev::Detect(_))
+                    && self.net.as_ref().is_some_and(|n| n.detector.stopped())
+                {
+                    // The heartbeats stopped with the run's work; a
+                    // detector event past that point is not part of the
+                    // run and must not stretch its end.
+                    continue;
+                }
                 debug_assert!(at >= self.now, "time runs forward");
                 self.now = at;
                 self.handle(ev);
@@ -909,11 +922,14 @@ impl ClusterSim {
             Ev::DeliverReq(r, s) => self.on_deliver_req(r, s),
             Ev::DeliverResp(r, s, ok, corrupt) => self.on_deliver_resp(r, s, ok, corrupt),
             Ev::DeliverCancel(r, s) => self.on_deliver_cancel(r, s),
-            Ev::DeliverHb(s) => self.on_deliver_hb(s),
-            Ev::DeliverAck(s) => self.on_deliver_ack(s),
             Ev::NetTimeout(r, seq) => self.on_net_timeout(r, seq),
             Ev::HedgeFire(r, seq) => self.on_hedge_fire(r, seq),
-            Ev::HbTick(s) => self.on_hb_tick(s),
+            Ev::Detect(s) => {
+                if !self.on_detect(s) {
+                    // A scan resume point changes no state.
+                    return;
+                }
+            }
         }
         // Every state change re-evaluates pressure, lets the elastic
         // controller repartition, lets idle shards steal, and pumps
@@ -922,6 +938,7 @@ impl ClusterSim {
         self.evaluate_elastic();
         self.steal_pass();
         self.pump_all();
+        self.stop_heartbeats_when_done();
     }
 
     fn on_storm(&mut self, i: usize) {
@@ -930,15 +947,13 @@ impl ClusterSim {
         match ev.kind {
             StormEventKind::ShardPartition { duration } => {
                 let until = now + duration.max(1);
-                if let Some(net) = &mut self.net {
-                    // With the transport on, a partition is not a
-                    // special mechanism: it is 100% loss on the link.
-                    // The shard's engines stay healthy and keep
-                    // draining their queue — their responses just
-                    // never get out, and the heartbeat detector
-                    // discovers the silence.
-                    net.links[ev.engine].degrade(until, 1.0);
-                } else {
+                // With the transport on, a partition is not a special
+                // mechanism: it is 100% loss on the link, a window
+                // the link has carried since the run was built. The
+                // shard's engines stay healthy and keep draining their
+                // queue — their responses just never get out, and the
+                // heartbeat detector discovers the silence.
+                if self.net.is_none() {
                     let shard = &mut self.shards[ev.engine];
                     shard.partition_until = shard.partition_until.max(until);
                     // The partition severs in-flight work too: epoch
@@ -952,12 +967,9 @@ impl ClusterSim {
                     self.instant(SHARD_CATS[ev.engine], "partition", now);
                 }
             }
-            StormEventKind::LinkDegrade { loss_pct, duration } => {
-                // Build-time validation guarantees the transport is on.
-                if let Some(net) = &mut self.net {
-                    net.links[ev.engine]
-                        .degrade(now + duration.max(1), f64::from(loss_pct.min(100)) / 100.0);
-                }
+            StormEventKind::LinkDegrade { .. } => {
+                // Build-time validation guarantees the transport is on;
+                // the loss window was added to the link then.
                 if ev.engine < SHARD_CATS.len() {
                     self.instant(SHARD_CATS[ev.engine], "link_degrade", now);
                 }
@@ -1000,6 +1012,9 @@ impl ClusterSim {
 
     fn on_arrival(&mut self, r: usize) {
         let now = self.now;
+        if let Some(net) = &mut self.net {
+            net.arrivals_left -= 1;
+        }
         let tenant = self.requests[r].tenant;
         self.tenant_arrivals[tenant] += 1;
         self.instant("serve", "arrive", now);
@@ -1624,10 +1639,10 @@ impl ClusterSim {
 
     /// Transmits one message over `shard`'s link, returning the
     /// scheduled delivery cycles (empty = every copy was lost).
-    fn net_transmit(&mut self, shard: usize, class: MsgClass) -> Vec<u64> {
+    fn net_transmit(&mut self, shard: usize, class: MsgClass) -> Deliveries {
         let now = self.now;
         let Some(net) = &mut self.net else {
-            return Vec::new();
+            return Deliveries::default();
         };
         let policy = net.policy;
         net.links[shard].transmit(now, class, &policy)
@@ -1896,51 +1911,50 @@ impl ClusterSim {
         }
     }
 
-    /// The router's heartbeat tick for shard `s`: ping over the lossy
-    /// link, re-armed only while the run still has traffic coming or
-    /// requests open — heartbeats must not keep a finished calendar
-    /// alive.
-    fn on_hb_tick(&mut self, s: usize) {
-        let now = self.now;
-        let (rearm, every) = {
-            let Some(net) = &self.net else { return };
-            (
-                net.open > 0 || now <= net.last_arrival,
-                net.policy.heartbeat_every.max(1),
-            )
+    /// Shard `s`'s detector event is due: applies the transition it
+    /// marks, if any, and books the link's next one. Returns whether
+    /// the shard's suspicion changed.
+    fn on_detect(&mut self, s: usize) -> bool {
+        let Some(net) = &mut self.net else {
+            return false;
         };
-        for at in self.net_transmit(s, MsgClass::Heartbeat) {
-            self.push(at, Ev::DeliverHb(s));
+        let policy = net.policy;
+        let ev = net.detector.advance(s, &mut net.links[s], &policy);
+        if let Some(at) = net.detector.next_at(s) {
+            self.push(at, Ev::Detect(s));
         }
-        if rearm {
-            self.push(now + every, Ev::HbTick(s));
+        match ev {
+            Some(e) => {
+                self.trace_detector(e);
+                true
+            }
+            None => false,
         }
     }
 
-    /// A heartbeat ping reached shard `s`; it acks immediately (the
-    /// ack rides the same lossy link back).
-    fn on_deliver_hb(&mut self, s: usize) {
-        if let Some(net) = &mut self.net {
-            net.links[s].on_delivered(MsgClass::Heartbeat);
-        } else {
+    fn trace_detector(&self, e: DetectorEvent) {
+        if e.shard < SHARD_CATS.len() {
+            let name = if e.suspected {
+                "suspect"
+            } else {
+                "suspect_clear"
+            };
+            self.instant(SHARD_CATS[e.shard], name, e.at);
+        }
+    }
+
+    /// Stops the heartbeats, and with them the detector, once every
+    /// arrival has been handled and nothing is open: from then on no
+    /// request can be routed, so silence means nothing.
+    fn stop_heartbeats_when_done(&mut self) {
+        let now = self.now;
+        let Some(net) = &mut self.net else { return };
+        if net.detector.stopped() || net.arrivals_left > 0 || net.open > 0 {
             return;
         }
-        for at in self.net_transmit(s, MsgClass::Ack) {
-            self.push(at, Ev::DeliverAck(s));
-        }
-    }
-
-    /// A heartbeat ack reached the router: the failure detector
-    /// refreshes, clearing suspicion if the link had gone quiet.
-    fn on_deliver_ack(&mut self, s: usize) {
-        let now = self.now;
-        let recovered = {
-            let Some(net) = &mut self.net else { return };
-            net.links[s].on_delivered(MsgClass::Ack);
-            net.detector.on_ack(now, s).is_some()
-        };
-        if recovered && s < SHARD_CATS.len() {
-            self.instant(SHARD_CATS[s], "suspect_clear", now);
+        let policy = net.policy;
+        for e in net.detector.stop(now, &mut net.links, &policy) {
+            self.trace_detector(e);
         }
     }
 

@@ -109,8 +109,8 @@ pub use elastic::{
 };
 pub use health::{apply_signal, engine_health, signals, spawn_target_ok, HealthSignal};
 pub use net::{
-    ClassStats, DedupTable, Detector, DetectorEvent, Link, MsgClass, NetCounters, NetPolicy,
-    RttWindow,
+    ClassStats, DedupTable, Deliveries, Detector, DetectorEvent, Fate, Link, MsgClass, NetCounters,
+    NetPolicy, RttWindow,
 };
 pub use profile::ServiceProfile;
 pub use queue::{admit, estimated_wait, AdmissionPolicy, AdmissionView, ShedReason};

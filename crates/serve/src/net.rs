@@ -5,8 +5,7 @@
 //! failure class the cluster could not see. [`Link`] makes delivery
 //! explicit: every request, response, cancel, and heartbeat becomes a
 //! message with a seeded per-link delay distribution, loss
-//! probability, duplication, and extra-delay reordering, scheduled
-//! through the existing discrete-event calendar so runs stay
+//! probability, duplication, and extra-delay reordering, so runs stay
 //! byte-identical at any campaign thread count.
 //!
 //! On top of the raw link the cluster builds exactly-once *effects*
@@ -28,12 +27,31 @@
 //!   [`ShardPartition`](crate::storm::StormEventKind::ShardPartition)
 //!   oracle is only kept for the historical (net-disabled) mode.
 //!
-//! Everything here is a pure function of the seed: the link RNG is a
-//! forked [`SplitMix64`] stream, [`SplitMix64::chance`] always draws
-//! exactly one value, and the p99 sort is exact integer work.
+//! Everything here is a pure function of the seed. Link draws are
+//! *counter-based*: a message's fate is keyed by (seed, link, class,
+//! per-class sequence number, copy, field), so it never depends on how
+//! many other messages the link carried before it. Heartbeat `k` on a
+//! link is sent at `phase + k·heartbeat_every`, and its ping and ack
+//! fates are pure functions of (seed, link, `k`) and the link's loss
+//! windows, which is what lets the detector evaluate heartbeats in
+//! closed form instead of as calendar events.
 
 use eve_common::SplitMix64;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+
+/// The SplitMix64 state increment, which lets [`stream_at`] jump
+/// straight to any position of a stream.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Stream positions each message owns: its draws are fields
+/// `0..FIELDS` of block `seq` in its class's stream.
+const FIELDS: u64 = 8;
+
+/// Heartbeat ticks one detector scan evaluates before it hands back a
+/// resume point instead of a transition. Bounds the work behind one
+/// calendar event on a link that never goes quiet (or never recovers),
+/// and how far the scan can run ahead of a run's end.
+const SCAN_TICKS: u32 = 128;
 
 /// Transport knobs for one cluster run. Disabled (the default) keeps
 /// the historical instantaneous-reliable dispatch path byte-for-byte.
@@ -189,82 +207,205 @@ impl ClassStats {
     pub fn in_flight(&self) -> u64 {
         self.sent - self.delivered - self.dropped
     }
+
+    /// The ledger of one transmit: its copies, duplicates and drops,
+    /// plus its deliveries when `delivered` (closed-form classes book
+    /// them at once; calendar classes book them as copies land).
+    fn of(fate: Fate, delivered: bool) -> Self {
+        let copies = u64::from(fate.copies);
+        let landed = fate.landed.len() as u64;
+        Self {
+            sent: copies,
+            delivered: if delivered { landed } else { 0 },
+            dropped: copies - landed,
+            dup_copies: copies - 1,
+        }
+    }
+
+    fn add(&mut self, d: Self) {
+        self.sent += d.sent;
+        self.delivered += d.delivered;
+        self.dropped += d.dropped;
+        self.dup_copies += d.dup_copies;
+    }
+
+    fn sub(&mut self, d: Self) {
+        self.sent -= d.sent;
+        self.delivered -= d.delivered;
+        self.dropped -= d.dropped;
+        self.dup_copies -= d.dup_copies;
+    }
 }
 
-/// One router↔shard link: a seeded RNG stream plus per-class
-/// conservation counters and an optional loss-override window (how
+/// The delivery cycles of one transmit's surviving copies — at most
+/// two, held inline.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Deliveries {
+    at: [u64; 2],
+    len: u8,
+}
+
+impl Deliveries {
+    fn push(&mut self, at: u64) {
+        self.at[usize::from(self.len)] = at;
+        self.len += 1;
+    }
+
+    /// Surviving copies.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Whether every copy dropped.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl IntoIterator for Deliveries {
+    type Item = u64;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u64, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.at.into_iter().take(usize::from(self.len))
+    }
+}
+
+/// One message's fate on a link: how many copies it became and when
+/// each surviving copy lands.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fate {
+    /// Copies emitted: 2 when the duplication draw fires, else 1.
+    pub copies: u8,
+    /// Delivery cycles of the copies that survived the loss draw.
+    pub landed: Deliveries,
+}
+
+/// A `[from, until)` window during which a link drops each copy with
+/// probability at least `loss`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LossWindow {
+    from: u64,
+    until: u64,
+    loss: f64,
+}
+
+/// The SplitMix64 stream seeded at `key`, advanced `i` positions in
+/// O(1): its next output is a counter-based draw, independent of every
+/// other position.
+fn stream_at(key: u64, i: u64) -> SplitMix64 {
+    SplitMix64::new(key.wrapping_add(i.wrapping_mul(GAMMA)))
+}
+
+/// A Bernoulli trial that is `true` with probability `p`, taking a
+/// uniform `[0, 1)` value from `unit` only when the outcome is not
+/// certain. Skipping a draw is safe because no other draw depends on
+/// its position.
+fn hit(p: f64, unit: impl FnOnce() -> f64) -> bool {
+    p > 0.0 && (p >= 1.0 || unit() < p)
+}
+
+/// One router↔shard link: per-class draw keys, its loss windows (how
 /// partitions and [`LinkDegrade`](crate::storm::StormEventKind::LinkDegrade)
-/// storms are modeled).
+/// storms are modeled), per-class sequence counters, and per-class
+/// conservation counters.
 #[derive(Debug, Clone)]
 pub struct Link {
-    rng: SplitMix64,
-    lossy_until: u64,
-    loss_override: f64,
+    keys: [u64; MsgClass::ALL.len()],
+    windows: Vec<LossWindow>,
+    seqs: [u64; MsgClass::ALL.len()],
     classes: [ClassStats; MsgClass::ALL.len()],
 }
 
 impl Link {
-    /// A link for `shard`, its RNG forked from the cluster seed so
-    /// adding a shard never perturbs another link's stream.
+    /// A link for `shard`, its draw keys derived from the cluster seed
+    /// so adding a shard never perturbs another link's draws.
     #[must_use]
     pub fn new(seed: u64, shard: usize) -> Self {
+        let link =
+            seed ^ 0x6C62_272E_07BB_0142 ^ (shard as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
         Self {
-            rng: SplitMix64::new(
-                seed ^ 0x6C62_272E_07BB_0142 ^ (shard as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-            ),
-            lossy_until: 0,
-            loss_override: 0.0,
+            keys: MsgClass::ALL.map(|c| stream_at(link, c as u64).next_u64()),
+            windows: Vec::new(),
+            seqs: [0; MsgClass::ALL.len()],
             classes: [ClassStats::default(); MsgClass::ALL.len()],
         }
     }
 
-    /// Opens (or extends) a loss-override window: until `until`, the
-    /// link drops each copy with probability `loss` (if worse than the
-    /// baseline). Overlapping windows keep the later end and the worse
-    /// loss.
-    pub fn degrade(&mut self, until: u64, loss: f64) {
-        self.lossy_until = self.lossy_until.max(until);
-        self.loss_override = self.loss_override.max(loss.clamp(0.0, 1.0));
+    /// Adds a loss window: copies sent in `[from, until)` drop with
+    /// probability `loss` (if worse than the baseline). Windows are
+    /// independent: each covers only its own span, and overlapping
+    /// windows take the worse loss where they overlap.
+    pub fn degrade(&mut self, from: u64, until: u64, loss: f64) {
+        self.windows.push(LossWindow {
+            from,
+            until,
+            loss: loss.clamp(0.0, 1.0),
+        });
     }
 
-    /// Whether a loss-override window is open at `now`.
+    /// Whether a loss window covers `now`.
     #[must_use]
     pub fn degraded_at(&self, now: u64) -> bool {
-        now < self.lossy_until
+        self.windows.iter().any(|w| w.from <= now && now < w.until)
     }
 
+    /// The drop probability at `now`: the baseline or the worst window
+    /// covering `now`, whichever is higher.
     fn loss_at(&self, now: u64, base: f64) -> f64 {
-        if now < self.lossy_until {
-            self.loss_override.max(base)
-        } else {
-            base
-        }
+        self.windows
+            .iter()
+            .filter(|w| w.from <= now && now < w.until)
+            .fold(base, |l, w| l.max(w.loss))
     }
 
-    /// Transmits one message at `now`: draws duplication once, then
-    /// per copy draws loss, jitter, and reordering. Returns the
-    /// delivery time of each surviving copy (empty when everything
-    /// dropped). Every copy updates the class ledger.
-    pub fn transmit(&mut self, now: u64, class: MsgClass, p: &NetPolicy) -> Vec<u64> {
-        let copies = if self.rng.chance(p.duplicate) { 2 } else { 1 };
+    /// The fate of message `seq` of `class` sent at `now`, from the
+    /// fields of block `seq` of the class's draw stream: field 0 draws
+    /// duplication; copy `c` draws loss from field `1 + 2c` and, if it
+    /// survives, jitter (high half) and reordering (low half) from
+    /// field `2 + 2c`. A pure function of (seed, link, class, seq,
+    /// `now`) and the loss windows; it touches no ledger.
+    #[must_use]
+    pub fn fate(&self, class: MsgClass, seq: u64, now: u64, p: &NetPolicy) -> Fate {
+        let key = self.keys[class as usize];
+        let block = seq.wrapping_mul(FIELDS);
+        let copies: u8 = if hit(p.duplicate, || stream_at(key, block).next_f64()) {
+            2
+        } else {
+            1
+        };
         let loss = self.loss_at(now, p.loss);
-        let mut out = Vec::with_capacity(copies);
-        for c in 0..copies {
-            self.classes[class as usize].sent += 1;
-            if c > 0 {
-                self.classes[class as usize].dup_copies += 1;
-            }
-            if self.rng.chance(loss) {
-                self.classes[class as usize].dropped += 1;
+        let mut landed = Deliveries::default();
+        for c in 0..u64::from(copies) {
+            let f = block + 1 + 2 * c;
+            if hit(loss, || stream_at(key, f).next_f64()) {
                 continue;
             }
-            let mut delay = p.base_delay.max(1) + self.rng.below(p.jitter + 1);
-            if self.rng.chance(p.reorder) {
+            let x = stream_at(key, f + 1).next_u64();
+            let mut delay = p.base_delay.max(1);
+            if p.jitter > 0 {
+                delay += ((u128::from(x >> 32) * u128::from(p.jitter + 1)) >> 32) as u64;
+            }
+            if hit(p.reorder, || f64::from(x as u32) / (1u64 << 32) as f64) {
                 delay += p.reorder_extra;
             }
-            out.push(now + delay);
+            landed.push(now + delay);
         }
-        out
+        Fate { copies, landed }
+    }
+
+    /// Transmits the next message of `class` at `now` (its sequence
+    /// number is the class's send count) and books its copies in the
+    /// class ledger. Returns the delivery time of each surviving copy;
+    /// the caller reports each landing through [`Link::on_delivered`].
+    pub fn transmit(&mut self, now: u64, class: MsgClass, p: &NetPolicy) -> Deliveries {
+        let seq = self.seqs[class as usize];
+        self.seqs[class as usize] += 1;
+        let fate = self.fate(class, seq, now, p);
+        self.classes[class as usize].add(ClassStats::of(fate, false));
+        fate.landed
     }
 
     /// Records one copy reaching the far end.
@@ -276,6 +417,18 @@ impl Link {
     #[must_use]
     pub fn stats(&self, class: MsgClass) -> ClassStats {
         self.classes[class as usize]
+    }
+
+    /// Heartbeat `k`, sent at `sent`: the ping, and the ack answering
+    /// each delivered ping copy — ack `2k + i` answers copy `i` and is
+    /// sent the cycle that copy lands.
+    fn heartbeat(&self, k: u64, sent: u64, p: &NetPolicy) -> (Fate, [Fate; 2]) {
+        let ping = self.fate(MsgClass::Heartbeat, k, sent, p);
+        let mut acks = [Fate::default(); 2];
+        for (i, at) in ping.landed.into_iter().enumerate() {
+            acks[i] = self.fate(MsgClass::Ack, 2 * k + i as u64, at, p);
+        }
+        (ping, acks)
     }
 }
 
@@ -323,12 +476,14 @@ impl DedupTable {
 }
 
 /// A fixed-capacity sliding window of RTT samples with an exact p99 —
-/// the hedge-delay estimator. The sort runs on at most `cap` integers
-/// per query, and the ring overwrite order is purely arrival order, so
-/// the estimate is deterministic.
+/// the hedge-delay estimator. The ring keeps arrival order (which
+/// sample to evict next) and a sorted copy of the same samples is
+/// maintained incrementally, so a query is one index and the estimate
+/// is deterministic.
 #[derive(Debug, Clone)]
 pub struct RttWindow {
     samples: Vec<u64>,
+    sorted: Vec<u64>,
     next: usize,
     cap: usize,
 }
@@ -340,6 +495,7 @@ impl RttWindow {
         let cap = cap.max(1);
         Self {
             samples: Vec::with_capacity(cap),
+            sorted: Vec::with_capacity(cap),
             next: 0,
             cap,
         }
@@ -350,8 +506,12 @@ impl RttWindow {
         if self.samples.len() < self.cap {
             self.samples.push(rtt);
         } else {
-            self.samples[self.next] = rtt;
+            let old = std::mem::replace(&mut self.samples[self.next], rtt);
+            let i = self.sorted.partition_point(|&s| s < old);
+            self.sorted.remove(i);
         }
+        let i = self.sorted.partition_point(|&s| s < rtt);
+        self.sorted.insert(i, rtt);
         self.next = (self.next + 1) % self.cap;
     }
 
@@ -370,13 +530,8 @@ impl RttWindow {
     /// The windowed 99th-percentile RTT, `None` while empty.
     #[must_use]
     pub fn p99(&self) -> Option<u64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut v = self.samples.clone();
-        v.sort_unstable();
-        let idx = ((v.len() - 1) as f64 * 0.99).round() as usize;
-        Some(v[idx])
+        let idx = ((self.sorted.len().checked_sub(1)?) as f64 * 0.99).round() as usize;
+        Some(self.sorted[idx])
     }
 
     /// The hedge delay: windowed p99 clamped up to `floor`, and `None`
@@ -394,7 +549,7 @@ impl RttWindow {
 /// One failure-detector transition, kept as replayable history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorEvent {
-    /// When the transition was observed.
+    /// When the transition happened.
     pub at: u64,
     /// Which shard's link.
     pub shard: usize,
@@ -402,76 +557,250 @@ pub struct DetectorEvent {
     pub suspected: bool,
 }
 
-/// The windowed heartbeat failure detector: one ack clock per link.
-/// A shard is suspected once its last ack is older than
-/// `heartbeat_every × (suspect_misses + 1)` — i.e. the whole miss
-/// window went silent — and recovers the instant an ack lands.
-/// Suspicion is evaluated lazily at routing decisions, which is both
-/// deterministic (the event loop drives it) and honest (a sender only
-/// learns about silence when it looks).
+/// One link's view of its own ack stream.
+#[derive(Debug, Clone)]
+struct Monitor {
+    /// Send cycle of heartbeat 0 (phases are staggered across links).
+    phase: u64,
+    /// Heartbeats `0..next_tick` have been evaluated.
+    next_tick: u64,
+    /// Known ack landings after `last_ack`, ascending.
+    acks: VecDeque<u64>,
+    /// The latest ack landing the detector has consumed.
+    last_ack: u64,
+    suspected: bool,
+    /// This link's next detector event.
+    next_at: u64,
+    /// Whether `next_at` is a transition rather than a scan resume
+    /// point.
+    flips: bool,
+}
+
+impl Monitor {
+    fn tick_at(&self, k: u64, every: u64) -> u64 {
+        self.phase + k * every
+    }
+
+    /// Every ack landing at or before this cycle is known: a heartbeat
+    /// not yet evaluated cannot land an ack before two cycles after it
+    /// is sent (a one-cycle ping, then a one-cycle ack).
+    fn known_through(&self, every: u64) -> u64 {
+        self.tick_at(self.next_tick, every) + 1
+    }
+
+    /// Evaluates the next heartbeat: books its ping and acks in the
+    /// link ledger and queues its ack landings.
+    fn eval_tick(&mut self, link: &mut Link, every: u64, p: &NetPolicy) {
+        let k = self.next_tick;
+        self.next_tick += 1;
+        let (ping, acks) = link.heartbeat(k, self.tick_at(k, every), p);
+        link.classes[MsgClass::Heartbeat as usize].add(ClassStats::of(ping, true));
+        for ack in &acks[..ping.landed.len()] {
+            link.classes[MsgClass::Ack as usize].add(ClassStats::of(*ack, true));
+            for at in ack.landed {
+                if self.acks.back().is_none_or(|&b| b <= at) {
+                    self.acks.push_back(at);
+                } else {
+                    let i = self.acks.partition_point(|&a| a <= at);
+                    self.acks.insert(i, at);
+                }
+            }
+        }
+    }
+
+    /// Scans the ack stream ahead to this link's next detector event:
+    /// a healthy link's onset is the first cycle more than `threshold`
+    /// after an ack with no later ack in between; a suspected link's
+    /// recovery is the next ack to land. After [`SCAN_TICKS`]
+    /// heartbeats without either, the event is a resume point instead,
+    /// strictly before any transition still to come.
+    fn scan(&mut self, link: &mut Link, every: u64, threshold: u64, p: &NetPolicy) {
+        let mut budget = SCAN_TICKS;
+        loop {
+            let known = self.known_through(every);
+            let front = self.acks.front().copied().filter(|&a| a <= known);
+            if self.suspected {
+                if let Some(a) = front {
+                    (self.next_at, self.flips) = (a, true);
+                    return;
+                }
+            } else {
+                let onset = self.last_ack + threshold + 1;
+                if let Some(a) = front.filter(|&a| a <= onset) {
+                    self.last_ack = a;
+                    self.acks.pop_front();
+                    continue;
+                }
+                if onset <= known {
+                    (self.next_at, self.flips) = (onset, true);
+                    return;
+                }
+            }
+            if budget == 0 {
+                (self.next_at, self.flips) = (known, false);
+                return;
+            }
+            budget -= 1;
+            self.eval_tick(link, every, p);
+        }
+    }
+}
+
+/// The windowed heartbeat failure detector, evaluated in closed form.
+///
+/// Link `s` pings at `phase_s + k·heartbeat_every`; each tick's ping
+/// and ack fates come from the link's keyed draws, so the detector
+/// reads its links' ack streams directly instead of being fed
+/// delivery events. A shard is suspected exactly while
+/// `now − last_ack(now) > heartbeat_every × (suspect_misses + 1)` —
+/// the whole miss window went silent — and recovers the instant an ack
+/// lands. Each link has one pending detector event, at its next
+/// transition (or at a scan resume point), so the calendar carries
+/// transitions rather than heartbeats. Ticks are evaluated once, in
+/// order, and booked in the link's Heartbeat and Ack ledgers.
+///
+/// [`Detector::stop`] ends the heartbeats when the run no longer needs
+/// them: the detector freezes, and ticks the scans evaluated past the
+/// stop are taken back out of the ledgers.
 #[derive(Debug, Clone)]
 pub struct Detector {
+    every: u64,
     threshold: u64,
-    last_ack: Vec<u64>,
-    suspected: Vec<bool>,
+    monitors: Vec<Monitor>,
+    stopped: bool,
     events: Vec<DetectorEvent>,
     suspicions: u64,
     recoveries: u64,
 }
 
 impl Detector {
-    /// A detector over `shards` links.
+    /// A detector over `links`, with staggered heartbeat phases so N
+    /// links never ping in the same cycle. Scans every link to its
+    /// first detector event ([`Detector::next_at`]).
     #[must_use]
-    pub fn new(shards: usize, heartbeat_every: u64, suspect_misses: u32) -> Self {
+    pub fn new(links: &mut [Link], p: &NetPolicy) -> Self {
+        let every = p.heartbeat_every.max(1);
+        let threshold = every * (u64::from(p.suspect_misses.max(1)) + 1);
+        let shards = links.len() as u64;
+        let mut monitors: Vec<Monitor> = (0..shards)
+            .map(|s| Monitor {
+                phase: (s * every) / shards,
+                next_tick: 0,
+                acks: VecDeque::new(),
+                last_ack: 0,
+                suspected: false,
+                next_at: 0,
+                flips: false,
+            })
+            .collect();
+        for (m, link) in monitors.iter_mut().zip(links.iter_mut()) {
+            m.scan(link, every, threshold, p);
+        }
         Self {
-            threshold: heartbeat_every.max(1) * (u64::from(suspect_misses.max(1)) + 1),
-            last_ack: vec![0; shards],
-            suspected: vec![false; shards],
+            every,
+            threshold,
+            monitors,
+            stopped: false,
             events: Vec::new(),
             suspicions: 0,
             recoveries: 0,
         }
     }
 
-    /// An ack from `shard` landed at `now`: refreshes its clock and
-    /// returns the recovery event if this cleared a suspicion.
-    pub fn on_ack(&mut self, now: u64, shard: usize) -> Option<DetectorEvent> {
-        self.last_ack[shard] = now;
-        if !self.suspected[shard] {
-            return None;
-        }
-        self.suspected[shard] = false;
-        self.recoveries += 1;
-        let ev = DetectorEvent {
-            at: now,
-            shard,
-            suspected: false,
-        };
-        self.events.push(ev);
-        Some(ev)
-    }
-
-    /// Re-evaluates `shard` at `now`: returns the suspicion event if
-    /// the miss window just elapsed.
-    pub fn probe(&mut self, now: u64, shard: usize) -> Option<DetectorEvent> {
-        if self.suspected[shard] || now.saturating_sub(self.last_ack[shard]) <= self.threshold {
-            return None;
-        }
-        self.suspected[shard] = true;
-        self.suspicions += 1;
-        let ev = DetectorEvent {
-            at: now,
-            shard,
-            suspected: true,
-        };
-        self.events.push(ev);
-        Some(ev)
-    }
-
-    /// Whether `shard` is currently suspected.
+    /// The cycle of `shard`'s next detector event, `None` once stopped.
     #[must_use]
-    pub fn suspected(&self, shard: usize) -> bool {
-        self.suspected[shard]
+    pub fn next_at(&self, shard: usize) -> Option<u64> {
+        (!self.stopped).then(|| self.monitors[shard].next_at)
+    }
+
+    /// `shard`'s detector event fires (at [`Detector::next_at`]):
+    /// applies the transition due then, if there is one, and scans
+    /// ahead to the next event. Does nothing once stopped.
+    pub fn advance(
+        &mut self,
+        shard: usize,
+        link: &mut Link,
+        p: &NetPolicy,
+    ) -> Option<DetectorEvent> {
+        if self.stopped {
+            return None;
+        }
+        let ev = self.monitors[shard].flips.then(|| self.flip(shard));
+        self.monitors[shard].scan(link, self.every, self.threshold, p);
+        ev
+    }
+
+    fn flip(&mut self, shard: usize) -> DetectorEvent {
+        let m = &mut self.monitors[shard];
+        m.flips = false;
+        m.suspected = !m.suspected;
+        if m.suspected {
+            self.suspicions += 1;
+        } else {
+            m.last_ack = m.acks.pop_front().expect("a recovery is an ack landing");
+            self.recoveries += 1;
+        }
+        let ev = DetectorEvent {
+            at: m.next_at,
+            shard,
+            suspected: m.suspected,
+        };
+        self.events.push(ev);
+        ev
+    }
+
+    /// Stops the heartbeats at `now` and freezes the detector. A
+    /// transition due by `now` still happens (it is returned); every
+    /// heartbeat sent after `now` is taken back out of the Heartbeat
+    /// and Ack ledgers, so they count exactly the ticks sent by the
+    /// stop — every copy delivered or dropped, none in flight.
+    pub fn stop(&mut self, now: u64, links: &mut [Link], p: &NetPolicy) -> Vec<DetectorEvent> {
+        if self.stopped {
+            return Vec::new();
+        }
+        self.stopped = true;
+        let every = self.every;
+        let mut flips = Vec::new();
+        for (s, link) in links.iter_mut().enumerate() {
+            let m = &self.monitors[s];
+            if m.flips && m.next_at <= now {
+                flips.push(self.flip(s));
+            }
+            let m = &mut self.monitors[s];
+            m.flips = false;
+            while m.tick_at(m.next_tick, every) <= now {
+                m.eval_tick(link, every, p);
+            }
+            let sent = if now < m.phase {
+                0
+            } else {
+                (now - m.phase) / every + 1
+            };
+            for k in sent..m.next_tick {
+                let (ping, acks) = link.heartbeat(k, m.tick_at(k, every), p);
+                link.classes[MsgClass::Heartbeat as usize].sub(ClassStats::of(ping, true));
+                for ack in &acks[..ping.landed.len()] {
+                    link.classes[MsgClass::Ack as usize].sub(ClassStats::of(*ack, true));
+                }
+            }
+            m.next_tick = sent;
+        }
+        flips
+    }
+
+    /// Whether the heartbeats have stopped.
+    #[must_use]
+    pub fn stopped(&self) -> bool {
+        self.stopped
+    }
+
+    /// Whether `shard` is suspected at `now`: its state after the last
+    /// transition, or the next one if that is due by `now` but its
+    /// calendar event has not been handled yet.
+    #[must_use]
+    pub fn suspected(&self, shard: usize, now: u64) -> bool {
+        let m = &self.monitors[shard];
+        m.suspected != (m.flips && now >= m.next_at)
     }
 
     /// Transition history, in observation order.
@@ -568,13 +897,33 @@ mod tests {
         let p = NetPolicy::lossy(0.3);
         let mut a = Link::new(42, 0);
         let mut b = Link::new(42, 1);
-        let da: Vec<Vec<u64>> = (0..50)
+        let da: Vec<Deliveries> = (0..50)
             .map(|i| a.transmit(i * 10, MsgClass::Req, &p))
             .collect();
-        let db: Vec<Vec<u64>> = (0..50)
+        let db: Vec<Deliveries> = (0..50)
             .map(|i| b.transmit(i * 10, MsgClass::Req, &p))
             .collect();
         assert_ne!(da, db, "links must fork independent streams");
+    }
+
+    #[test]
+    fn a_fate_does_not_depend_on_other_traffic() {
+        // Counter-based draws: message 7 of a class lands the same
+        // whatever else the link carried first.
+        let p = NetPolicy::lossy(0.3);
+        let quiet = Link::new(9, 2);
+        let mut busy = Link::new(9, 2);
+        for i in 0..40 {
+            busy.transmit(i, MsgClass::Resp, &p);
+            busy.transmit(i, MsgClass::Cancel, &p);
+        }
+        for i in 0..7 {
+            busy.transmit(i, MsgClass::Req, &p);
+        }
+        assert_eq!(
+            busy.transmit(500, MsgClass::Req, &p),
+            quiet.fate(MsgClass::Req, 7, 500, &p).landed
+        );
     }
 
     #[test]
@@ -585,7 +934,7 @@ mod tests {
             ..NetPolicy::lossy(0.0)
         };
         let mut l = Link::new(7, 0);
-        l.degrade(1_000, 1.0);
+        l.degrade(0, 1_000, 1.0);
         assert!(l.degraded_at(500));
         assert!(!l.degraded_at(1_000));
         for i in 0..20u64 {
@@ -594,6 +943,47 @@ mod tests {
         assert_eq!(l.stats(MsgClass::Resp).dropped, 20);
         // Past the window the baseline (0% loss) applies again.
         assert_eq!(l.transmit(2_000, MsgClass::Resp, &p).len(), 1);
+    }
+
+    #[test]
+    fn loss_windows_do_not_leak_past_their_own_span() {
+        let base = 0.05;
+        // A partition, then a mild degrade of the same link: the
+        // degrade's window must see its own 10%, not the partition's
+        // 100%.
+        let mut l = Link::new(1, 0);
+        l.degrade(1_000, 2_000, 1.0);
+        l.degrade(5_000, 6_000, 0.1);
+        assert_eq!(l.loss_at(500, base), base);
+        assert_eq!(l.loss_at(1_500, base), 1.0);
+        assert_eq!(l.loss_at(3_000, base), base);
+        assert_eq!(l.loss_at(5_500, base), 0.1);
+        assert_eq!(l.loss_at(6_000, base), base);
+        let p = NetPolicy {
+            duplicate: 0.0,
+            ..NetPolicy::lossy(0.0)
+        };
+        let survived = (0..1_000u64)
+            .filter(|&i| !l.transmit(5_000 + i % 1_000, MsgClass::Req, &p).is_empty())
+            .count();
+        assert!(
+            (850..=950).contains(&survived),
+            "a 10% degrade delivered {survived} of 1000"
+        );
+
+        // A degrade overlapping a partition: 100% loss ends with the
+        // partition, the degrade's 30% runs on to its own end.
+        let mut l = Link::new(1, 0);
+        l.degrade(1_000, 2_000, 1.0);
+        l.degrade(1_500, 4_000, 0.3);
+        assert_eq!(l.loss_at(1_200, base), 1.0);
+        assert_eq!(l.loss_at(1_800, base), 1.0);
+        assert_eq!(l.loss_at(2_000, base), 0.3);
+        assert_eq!(l.loss_at(3_999, base), 0.3);
+        assert_eq!(l.loss_at(4_000, base), base);
+        // A window milder than the baseline never lowers it.
+        l.degrade(10_000, 11_000, 0.01);
+        assert_eq!(l.loss_at(10_500, base), base);
     }
 
     #[test]
@@ -625,6 +1015,32 @@ mod tests {
     }
 
     #[test]
+    fn rtt_window_p99_matches_an_exact_sort() {
+        for seed in 0..40u64 {
+            let mut rng = SplitMix64::new(0x5077_0000 + seed);
+            let cap = 1 + rng.below(80) as usize;
+            let mut w = RttWindow::new(cap);
+            let mut history = Vec::new();
+            // Several times around the ring, with a narrow value range
+            // so duplicate samples get evicted too.
+            for _ in 0..cap * 3 + rng.below(50) as usize {
+                let rtt = if rng.chance(0.5) {
+                    rng.below(8)
+                } else {
+                    rng.below(100_000)
+                };
+                w.record(rtt);
+                history.push(rtt);
+                let mut window: Vec<u64> = history[history.len().saturating_sub(cap)..].to_vec();
+                window.sort_unstable();
+                let idx = ((window.len() - 1) as f64 * 0.99).round() as usize;
+                assert_eq!(w.p99(), Some(window[idx]), "seed {seed} cap {cap}");
+                assert_eq!(w.len(), window.len());
+            }
+        }
+    }
+
+    #[test]
     fn hedge_delay_needs_samples_and_respects_the_floor() {
         let mut w = RttWindow::new(64);
         assert_eq!(w.hedge_delay(4, 500), None, "cold estimator must not arm");
@@ -638,28 +1054,90 @@ mod tests {
         assert_eq!(w.hedge_delay(4, 500), Some(9_000));
     }
 
+    /// Drives a detector to `stop` the way the cluster's calendar
+    /// does: each link's next event in time order.
+    fn drive(det: &mut Detector, links: &mut [Link], p: &NetPolicy, stop: u64) {
+        loop {
+            let next = (0..links.len())
+                .filter_map(|s| det.next_at(s).map(|at| (at, s)))
+                .min();
+            match next {
+                Some((at, s)) if at <= stop => {
+                    det.advance(s, &mut links[s], p);
+                }
+                _ => break,
+            }
+        }
+        det.stop(stop, links, p);
+    }
+
     #[test]
     fn detector_suspects_after_the_miss_window_and_recovers_on_ack() {
-        let mut d = Detector::new(2, 1_000, 3);
-        // Acks flowing: no suspicion.
-        d.on_ack(900, 0);
-        assert_eq!(d.probe(4_000, 0), None);
-        assert!(!d.suspected(0));
-        // Silence past every × (misses + 1) = 4000 cycles: suspected.
-        let ev = d.probe(5_000, 0).expect("miss window elapsed");
-        assert!(ev.suspected);
-        assert!(d.suspected(0));
-        assert_eq!(d.probe(5_100, 0), None, "suspicion fires once");
-        // An ack recovers it.
-        let ev = d.on_ack(6_000, 0).expect("ack clears suspicion");
+        // A jitter-free, lossless link: tick k's ack lands exactly
+        // 2 × 40 cycles after it is sent, until a partition swallows
+        // the pings sent in [10_000, 20_000).
+        let p = NetPolicy {
+            jitter: 0,
+            reorder: 0.0,
+            heartbeat_every: 1_000,
+            suspect_misses: 3,
+            ..NetPolicy::lossy(0.0)
+        };
+        let mut links = vec![Link::new(5, 0), Link::new(5, 1)];
+        links[0].degrade(10_000, 20_000, 1.0);
+        let mut det = Detector::new(&mut links, &p);
+        // Acks flowing: no suspicion. The last ack before the window
+        // lands at 9_080; silence past every × (misses + 1) = 4000.
+        assert!(!det.suspected(0, 13_080));
+        assert_eq!(det.next_at(0), Some(13_081));
+        assert!(det.suspected(0, 13_081), "due transitions count at once");
+        let ev = det.advance(0, &mut links[0], &p).expect("onset");
+        assert_eq!(
+            ev,
+            DetectorEvent {
+                at: 13_081,
+                shard: 0,
+                suspected: true
+            }
+        );
+        // The first ping after the window (sent at 20_000) is acked at
+        // 20_080: recovery.
+        assert_eq!(det.next_at(0), Some(20_080));
+        assert!(det.suspected(0, 20_079));
+        assert!(!det.suspected(0, 20_080));
+        let ev = det.advance(0, &mut links[0], &p).expect("recovery");
         assert!(!ev.suspected);
-        assert!(!d.suspected(0));
-        assert_eq!(d.suspicions(), 1);
-        assert_eq!(d.recoveries(), 1);
-        assert_eq!(d.events().len(), 2);
+        drive(&mut det, &mut links, &p, 50_000);
+        assert_eq!(det.suspicions(), 1);
+        assert_eq!(det.recoveries(), 1);
+        assert_eq!(det.events().len(), 2);
         // Shard 1 was never touched.
-        assert!(d.suspected(1) || !d.suspected(1));
-        assert!(!d.suspected(1));
+        assert!(!det.suspected(1, 50_000));
+        // Ticks 0..=50 were sent on link 0 by the stop (phase 0); the
+        // ten inside the partition dropped their pings.
+        let hb = links[0].stats(MsgClass::Heartbeat);
+        assert_eq!((hb.sent, hb.dropped, hb.delivered), (51, 10, 41));
+        let ack = links[0].stats(MsgClass::Ack);
+        assert_eq!((ack.sent, ack.dropped, ack.delivered), (41, 0, 41));
+    }
+
+    #[test]
+    fn a_stopped_detector_is_frozen() {
+        let p = NetPolicy {
+            heartbeat_every: 1_000,
+            ..NetPolicy::lossy(0.0)
+        };
+        let mut links = vec![Link::new(3, 0)];
+        let mut det = Detector::new(&mut links, &p);
+        drive(&mut det, &mut links, &p, 7_500);
+        assert!(det.stopped());
+        assert_eq!(det.next_at(0), None);
+        // Long after the last heartbeat, the shard is not suspected:
+        // the detector stopped with the heartbeats.
+        assert!(!det.suspected(0, 1_000_000));
+        assert_eq!(det.advance(0, &mut links[0], &p), None);
+        assert_eq!(links[0].stats(MsgClass::Heartbeat).sent, 8);
+        assert!(det.events().is_empty());
     }
 
     #[test]
